@@ -27,19 +27,18 @@ StatusOr<InteractiveSummary> RunInteractiveExperiment(
   SessionResult session = RunInteractiveSession(graph, *oracle, options);
   if (!session.status.ok()) return session.status;
 
-  InteractiveSummary summary;
-  summary.strategy =
-      strategy == StrategyKind::kRandom ? "kR" : "kS";
-  summary.interactions = session.interactions.size();
-  summary.label_percent = 100.0 * session.label_fraction;
-  summary.reached_goal = session.reached_goal;
-  summary.final_k = session.final_k;
   double total = 0.0;
   for (const InteractionRecord& r : session.interactions) total += r.seconds;
-  summary.mean_seconds =
-      session.interactions.empty() ? 0.0
-                                   : total / session.interactions.size();
-  return summary;
+  return InteractiveSummary{
+      .strategy = strategy == StrategyKind::kRandom ? "kR" : "kS",
+      .interactions = session.interactions.size(),
+      .label_percent = 100.0 * session.label_fraction,
+      .mean_seconds = session.interactions.empty()
+                          ? 0.0
+                          : total / session.interactions.size(),
+      .reached_goal = session.reached_goal,
+      .final_k = session.final_k,
+  };
 }
 
 }  // namespace rpqlearn

@@ -4,10 +4,6 @@
 
 namespace rpqlearn {
 
-void DynamicGraph::MaintainSharding(uint32_t num_shards) {
-  sharded_.emplace(ShardedGraph::Partition(graph_, num_shards));
-}
-
 void DynamicGraph::MaintainCondensation() {
   condensed_.emplace(CondensedGraph::Build(graph_));
 }
@@ -70,15 +66,6 @@ void DynamicGraph::MaybeAutoCompact() {
 
 void DynamicGraph::ApplyToSnapshots(Symbol a, NodeId src, NodeId dst,
                                     bool inserted) {
-  if (sharded_) {
-    const bool same_shard = sharded_->ShardOf(src) == sharded_->ShardOf(dst);
-    sharded_->ApplyEdgeUpdate(graph_, a, src, dst, inserted);
-    if (same_shard) {
-      ++stats_.shard_same_shard_updates;
-    } else {
-      ++stats_.shard_cross_shard_updates;
-    }
-  }
   if (condensed_) {
     switch (condensed_->ApplyEdgeUpdate(graph_, a, src, dst, inserted)) {
       case CondenseRepair::kUntouchedLabel:
@@ -100,16 +87,10 @@ void DynamicGraph::ApplyToSnapshots(Symbol a, NodeId src, NodeId dst,
 void DynamicGraph::Compact() {
   graph_.Compact();
   ++stats_.compactions;
-  if (sharded_) {
-    sharded_.emplace(ShardedGraph::Partition(graph_, sharded_->num_shards()));
-  }
   for (const auto& view : materialized_) view->OnCompact();
 }
 
 EvalOptions DynamicGraph::WithCaches(EvalOptions options) const {
-  if (options.sharded_cache == nullptr && sharded_) {
-    options.sharded_cache = &*sharded_;
-  }
   if (options.condensed_cache == nullptr && condensed_) {
     options.condensed_cache = &*condensed_;
   }

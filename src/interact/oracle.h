@@ -21,7 +21,7 @@ class Oracle {
   explicit Oracle(BitVector goal) : goal_(std::move(goal)) {}
 
   /// Evaluates the goal query on the graph once and labels from the result.
-  /// `eval` selects the evaluation thread and shard counts; invalid options
+  /// `eval` selects the evaluation thread count and policies; invalid options
   /// abort (the simulated user is experiment harness code, not a fallible
   /// API).
   static Oracle FromQuery(const Graph& graph, const Dfa& goal_query,

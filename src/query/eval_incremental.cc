@@ -13,13 +13,11 @@ using eval_internal::BinaryScratchBytes;
 using eval_internal::BinarySweeper;
 using eval_internal::BuildBinaryTables;
 using eval_internal::BuildCondensePlan;
-using eval_internal::GlobalGraphView;
 using eval_internal::kLaneBatch;
 using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
 using eval_internal::ResolveDirectionPolicy;
 using eval_internal::RoundCounters;
-using eval_internal::TrackingGraphView;
 
 namespace {
 
@@ -152,7 +150,7 @@ Status MaterializedQuery::BuildFixedPoint() {
   const size_t num_batches = (sources_.size() + kLaneBatch - 1) / kLaneBatch;
   // One persistent product-space scratch per batch; charged against the
   // budget up front, kept for the materialization's lifetime (+1 byte per
-  // pair for the changed-cell flags of the tracking view).
+  // pair for the changed-cell flags).
   const size_t num_pairs = static_cast<size_t>(tables_.nv) * tables_.nq;
   ScopedExecCharge charge(
       sweepers_.empty() ? exec : nullptr,
@@ -166,8 +164,8 @@ Status MaterializedQuery::BuildFixedPoint() {
   std::vector<RoundCounters> per_batch;
   per_batch.reserve(num_batches);
   for (size_t b = 0; b < num_batches; ++b) {
-    BinarySweeper<TrackingGraphView>& sweeper = sweepers_[b];
-    sweeper.Prepare(TrackingGraphView{graph_}, tables_, plan_, policy_, exec);
+    BinarySweeper</*kTracksChanged=*/true>& sweeper = sweepers_[b];
+    sweeper.Prepare(*graph_, tables_, plan_, policy_, exec);
     const uint32_t lanes = static_cast<uint32_t>(
         std::min<size_t>(kLaneBatch, sources_.size() - b * kLaneBatch));
     sweeper.BeginBatch(lanes == kLaneBatch ? ~uint64_t{0}
@@ -242,7 +240,7 @@ void MaterializedQuery::OnInsertEdge(NodeId src, Symbol label, NodeId dst) {
   uint64_t seeded = 0;
   std::vector<RoundCounters> per_batch;
   for (size_t b = 0; b < sweepers_.size(); ++b) {
-    BinarySweeper<TrackingGraphView>& sweeper = sweepers_[b];
+    BinarySweeper</*kTracksChanged=*/true>& sweeper = sweepers_[b];
     bool any = false;
     if (!withhold) {
       // The delta frontier of edge (src, a, dst): exactly the cells
@@ -379,7 +377,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> MaterializedQuery::Results() {
 MaterializedMonadic::MaterializedMonadic(const Graph& graph, const Dfa& query,
                                          EvalOptions validated)
     : graph_(&graph), frozen_(query), validated_(std::move(validated)) {
-  fingerprint_ = DfaFingerprint(frozen_);
   tables_ = BuildBinaryTables(graph, frozen_);
   BuildCondensePlan(graph, tables_, PinCondenseOff(validated_),
                     /*bounded=*/false, /*auto_needs_cache=*/false, &plan_);
@@ -415,8 +412,8 @@ Status MaterializedMonadic::BuildFixedPoint() {
   }
   // Rebuilt, not reused: the monadic sweeper's reached() bitmap has no
   // per-batch reset path (one materialization is one perpetual sweep).
-  sweeper_ = std::make_unique<MonadicSweeper<GlobalGraphView>>(
-      GlobalGraphView{graph_}, tables_, plan_, policy_, exec);
+  sweeper_ = std::make_unique<MonadicSweeper>(*graph_, tables_, plan_,
+                                              policy_, exec);
   result_ = BitVector(graph_->num_nodes());
   const StateId q0 = tables_.q0;
   const auto hook = [this, q0](NodeId v, StateId q) {
@@ -557,49 +554,6 @@ StatusOr<const BitVector*> MaterializedMonadic::Results(
     ++mstats_.warm_hits;
   }
   return &result_;
-}
-
-// ------------------------------------------------------ MonadicResultCache
-
-MonadicResultCache::MonadicResultCache(const Graph& graph,
-                                       const EvalOptions& options,
-                                       size_t capacity)
-    : graph_(&graph),
-      options_(options),
-      capacity_(capacity == 0 ? 1 : capacity) {}
-
-StatusOr<const BitVector*> MonadicResultCache::Evaluate(const Dfa& query) {
-  const FrozenDfa frozen(query);
-  const uint64_t fingerprint = DfaFingerprint(frozen);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i]->fingerprint() != fingerprint ||
-        !FrozenDfaStructurallyEqual(entries_[i]->frozen(), frozen)) {
-      continue;
-    }
-    std::unique_ptr<MaterializedMonadic> entry = std::move(entries_[i]);
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    entries_.insert(entries_.begin(), std::move(entry));
-    MaterializedMonadic* materialized = entries_.front().get();
-    // A graph that mutated since the entry synced forces a rebuild inside
-    // Results() — that is a miss, not a warm start.
-    const bool warm = materialized->in_sync();
-    StatusOr<const BitVector*> result = materialized->Results();
-    if (!result.ok()) return result.status();
-    if (warm) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-    return *result;
-  }
-
-  ++misses_;
-  StatusOr<std::unique_ptr<MaterializedMonadic>> created =
-      MaterializedMonadic::Create(*graph_, query, options_);
-  if (!created.ok()) return created.status();
-  entries_.insert(entries_.begin(), std::move(*created));
-  if (entries_.size() > capacity_) entries_.pop_back();
-  return entries_.front()->Results();
 }
 
 }  // namespace rpqlearn

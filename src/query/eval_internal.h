@@ -278,12 +278,11 @@ inline void ApplyCondensePlanToTables(const CondensePlan& plan,
   }
 }
 
-/// Budget estimates of the dominant per-sweep / per-worker / per-shard
-/// scratch arrays, charged against the ExecContext before the arrays are
-/// allocated. Estimates cover the product-space-proportional allocations
-/// (masks, pending flags, bitmap frontiers, condensation expanded/pending
-/// tables); frontier lists and outboxes are workload-dependent and
-/// accounted where they materialize.
+/// Budget estimates of the dominant per-sweep / per-worker scratch arrays,
+/// charged against the ExecContext before the arrays are allocated.
+/// Estimates cover the product-space-proportional allocations (masks,
+/// pending flags, bitmap frontiers, condensation expanded/pending tables);
+/// frontier lists are workload-dependent and left out.
 inline size_t CondenseScratchBytes(const CondensePlan& plan,
                                    size_t per_component) {
   if (!plan.active) return 0;
@@ -299,26 +298,18 @@ inline size_t MonadicSweepScratchBytes(size_t num_pairs,
   return 3 * ((num_pairs + 7) / 8) + CondenseScratchBytes(plan, 1);
 }
 
-/// BinarySweeper over the global view: 8-byte lane mask + pending flag per
-/// product cell, two bitmap frontiers, and 8-byte expanded + pending lane
-/// sets per condensation component.
+/// BinarySweeper: 8-byte lane mask + pending flag per product cell, two
+/// bitmap frontiers, and 8-byte expanded + pending lane sets per
+/// condensation component (change-tracking sweepers add one flag byte per
+/// cell on top).
 inline size_t BinaryScratchBytes(size_t num_pairs, const CondensePlan& plan) {
   return num_pairs * (sizeof(uint64_t) + 1) + 2 * ((num_pairs + 7) / 8) +
          CondenseScratchBytes(plan, 2 * sizeof(uint64_t));
 }
 
-/// BinarySweeper over a shard view: the global-view scratch plus the
-/// changed-cell flag (allocated only when the view tracks changed cells).
-inline size_t BinaryShardScratchBytes(size_t num_pairs,
-                                      const CondensePlan& plan) {
-  return BinaryScratchBytes(num_pairs, plan) + num_pairs;
-}
-
 /// Direction policy of one evaluation call, resolved from validated
 /// EvalOptions by the impl entry points: a round runs dense iff its
-/// frontier holds at least `dense_cutoff_pairs` product pairs. Sharded
-/// evaluations resolve one policy per shard against the shard-local pair
-/// space.
+/// frontier holds at least `dense_cutoff_pairs` product pairs.
 struct DirectionPolicy {
   size_t dense_cutoff_pairs = 0;
 };
@@ -350,18 +341,15 @@ inline DirectionPolicy ResolveDirectionPolicy(const EvalOptions& validated,
 /// The pull of one dense-round cell (u, t): OR together `missing` lanes
 /// from the frontier predecessors of (u, t) — (v, p) with edge (v, a, u)
 /// and δ(p, a) = t — exiting early once every missing lane is gained.
-/// `in(u, a)` spans the per-label in-neighbors of the adjacency being swept
-/// (whole graph or one shard's internal edges). With ≤ 64 query states the
-/// frontier test is word-at-a-time: one BitVector::Window gather of node
-/// v's state window ANDed against the entry's precomputed source mask
-/// replaces the per-bit Test loop; larger queries keep the per-bit path.
-template <typename InNeighborsFn>
-uint64_t PullMissingLanes(const BinaryTables& tables,
-                          const CondensePlan& plan,
-                          const BitVector& frontier_bits,
-                          const std::vector<uint64_t>& mask,
-                          InNeighborsFn&& in, NodeId u, StateId t,
-                          uint64_t missing) {
+/// With ≤ 64 query states the frontier test is word-at-a-time: one
+/// BitVector::Window gather of node v's state window ANDed against the
+/// entry's precomputed source mask replaces the per-bit Test loop; larger
+/// queries keep the per-bit path.
+inline uint64_t PullMissingLanes(const Graph& graph, const BinaryTables& tables,
+                                 const CondensePlan& plan,
+                                 const BitVector& frontier_bits,
+                                 const std::vector<uint64_t>& mask, NodeId u,
+                                 StateId t, uint64_t missing) {
   const uint32_t nq = tables.nq;
   const FrozenDfa& frozen = *tables.frozen;
   const auto entries = frozen.ReverseInto(t);
@@ -376,7 +364,7 @@ uint64_t PullMissingLanes(const BinaryTables& tables,
       if (entries[i].symbol >= tables.num_shared) break;
       const uint64_t source_mask = entry_masks[i];
       if (source_mask == 0) continue;
-      for (NodeId v : in(u, entries[i].symbol)) {
+      for (NodeId v : graph.InNeighbors(u, entries[i].symbol)) {
         const size_t base = static_cast<size_t>(v) * nq;
         uint64_t hits = frontier_bits.Window(base, nq) & source_mask;
         while (hits != 0) {
@@ -392,7 +380,7 @@ uint64_t PullMissingLanes(const BinaryTables& tables,
   for (const auto& entry : entries) {
     if (entry.symbol >= tables.num_shared) break;
     const bool skip_self = plan.Engaged(t, entry.symbol);
-    for (NodeId v : in(u, entry.symbol)) {
+    for (NodeId v : graph.InNeighbors(u, entry.symbol)) {
       for (StateId p : frozen.EntrySources(entry)) {
         if (skip_self && p == t) continue;  // closure owns the star hop
         const size_t vp = static_cast<size_t>(v) * nq + p;

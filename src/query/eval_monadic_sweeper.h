@@ -4,16 +4,17 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph.h"
 #include "query/eval_internal.h"
-#include "query/eval_views.h"
 #include "util/bit_vector.h"
 #include "util/exec_context.h"
 
 namespace rpqlearn {
 namespace eval_internal {
 
-/// Direction-optimized backward product sweep over one adjacency view.
-/// Seeds and cross-shard deliveries are injected with Visit(); RunRound
+/// Direction-optimized backward product sweep over the graph. Seeds (and
+/// the incremental layer's delta-frontier cells) are injected with Visit();
+/// RunRound
 /// expands the whole pending frontier one level, choosing per round between
 /// a sparse push (pop each frontier pair, mark its predecessors over
 /// In-neighbors × the frozen DFA's reverse entries) and a dense bottom-up
@@ -23,20 +24,18 @@ namespace eval_internal {
 /// synchronous, so the mode sequence changes neither the fixed point nor
 /// any level set — unbounded and bounded sweeps agree with the seed
 /// reference for every policy. `hook(v, q)` fires once per fresh pair; the
-/// sharded path uses it to collect discoveries whose predecessors lie in
-/// other shards.
-template <typename View>
+/// materialized monadic query uses it to maintain its selected-node column.
 class MonadicSweeper {
  public:
-  MonadicSweeper(View view, const BinaryTables& tables,
+  MonadicSweeper(const Graph& graph, const BinaryTables& tables,
                  const CondensePlan& plan, DirectionPolicy policy,
                  ExecContext* exec)
-      : view_(view),
+      : graph_(&graph),
         tables_(tables),
         plan_(&plan),
         policy_(policy),
         exec_(exec),
-        reached_(static_cast<size_t>(view_.num_nodes()) * tables.nq),
+        reached_(static_cast<size_t>(graph.num_nodes()) * tables.nq),
         frontier_bits_(reached_.size()),
         next_bits_(reached_.size()) {
     if (plan_->active) {
@@ -70,14 +69,12 @@ class MonadicSweeper {
   /// Expands every pending star-state discovery component-at-a-time:
   /// backward over an engaged self-loop, a discovery (v, q) reaches every
   /// node of v's component and of the component's DAG predecessors, so the
-  /// closure saturates them in one hop (owned members only — a component
-  /// spanning shard cuts propagates through the boundary exchange like any
-  /// other cross-shard edge) and the scatter chains through the worklist
-  /// until the backward a*-cone is exhausted. Every visited cell lies in
-  /// the monotone fixed point, so the closure never changes the result —
-  /// only how many rounds reach it. Callable between rounds only, like
-  /// Visit; a no-op when the plan is inactive (bounded sweeps: collapsing
-  /// an SCC would merge BFS levels).
+  /// closure saturates them in one hop and the scatter chains through the
+  /// worklist until the backward a*-cone is exhausted. Every visited cell
+  /// lies in the monotone fixed point, so the closure never changes the
+  /// result — only how many rounds reach it. Callable between rounds only,
+  /// like Visit; a no-op when the plan is inactive (bounded sweeps:
+  /// collapsing an SCC would merge BFS levels).
   template <typename VisitHook>
   void RunCondenseClosure(VisitHook&& hook, RoundCounters* rounds) {
     while (!cond_worklist_.empty()) {
@@ -88,9 +85,8 @@ class MonadicSweeper {
       if (exec_ != nullptr && !exec_->Checkpoint()) return;
       const auto [v, q] = cond_worklist_.back();
       cond_worklist_.pop_back();
-      const NodeId global = view_.ToGlobal(v);
       for (const CondenseLoop& loop : plan_->loops[q]) {
-        const uint32_t c = loop.label->ComponentOf(global);
+        const uint32_t c = loop.label->ComponentOf(v);
         uint8_t& expanded = cond_expanded_[loop.index][c];
         if (expanded) continue;
         expanded = 1;
@@ -141,10 +137,7 @@ class MonadicSweeper {
   template <typename VisitHook>
   void ScatterComponent(const CondenseLoop& loop, uint32_t c, StateId q,
                         VisitHook&& hook) {
-    for (NodeId member : loop.label->Members(c)) {
-      if (!view_.OwnsGlobal(member)) continue;
-      Visit(view_.ToLocal(member), q, hook);
-    }
+    for (NodeId member : loop.label->Members(c)) Visit(member, q, hook);
   }
 
   template <typename VisitHook>
@@ -158,7 +151,7 @@ class MonadicSweeper {
         // The closure owns engaged self-loop hops (p == q over a star
         // label); per-edge work handles every other source.
         const bool skip_self = plan_->Engaged(q, entry.symbol);
-        for (NodeId u : view_.In(v, entry.symbol)) {
+        for (NodeId u : graph_->InNeighbors(v, entry.symbol)) {
           for (StateId p : tables_.frozen->EntrySources(entry)) {
             if (skip_self && p == q) continue;
             const size_t cell = static_cast<size_t>(u) * nq + p;
@@ -181,7 +174,7 @@ class MonadicSweeper {
     const uint32_t nq = tables_.nq;
     next_bits_.Clear();
     size_t next_pairs = 0;
-    const uint32_t nv = view_.num_nodes();
+    const uint32_t nv = graph_->num_nodes();
     for (NodeId v = 0; v < nv; ++v) {
       for (StateId q = 0; q < nq; ++q) {
         const size_t cell = static_cast<size_t>(v) * nq + q;
@@ -193,7 +186,7 @@ class MonadicSweeper {
               plan_->Engaged(q, tr.symbol)) {
             continue;  // the closure owns the star hop
           }
-          for (NodeId u : view_.Out(v, tr.symbol)) {
+          for (NodeId u : graph_->OutNeighbors(v, tr.symbol)) {
             if (frontier_bits_.Test(static_cast<size_t>(u) * nq +
                                     tr.target)) {
               found = true;
@@ -230,7 +223,7 @@ class MonadicSweeper {
     frontier_bits_.Clear();
   }
 
-  View view_;
+  const Graph* graph_;
   const BinaryTables& tables_;
   const CondensePlan* plan_;
   DirectionPolicy policy_;

@@ -5,17 +5,9 @@
 #include "learn/binary.h"
 #include "learn/nary.h"
 #include "query/eval.h"
-#include "query/path_query.h"
 
 namespace rpqlearn {
 namespace {
-
-Dfa QueryOn(const Graph& graph, const std::string& regex) {
-  Alphabet alphabet = graph.alphabet();
-  auto q = PathQuery::Parse(regex, &alphabet, graph.num_symbols());
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  return q->dfa();
-}
 
 TEST(BinaryLearnerTest, LearnsOnFig3Pairs) {
   // Label pairs consistently with (a·b)*·c under binary semantics:

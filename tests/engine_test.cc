@@ -187,7 +187,6 @@ TEST(EngineTest, DynamicGraphMutationRefreshesWarmResults) {
   b.AddNode("n2");
   b.AddEdge(1, "a", 2);
   DynamicGraph dynamic(b.Build());
-  dynamic.MaintainSharding(2);
   dynamic.MaintainCondensation();
 
   Engine engine(dynamic);
