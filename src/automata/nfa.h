@@ -40,6 +40,12 @@ class Nfa {
   void AddEpsilonTransition(StateId from, StateId to);
 
   void AddInitial(StateId s);
+
+  /// Adds `s` to a sorted, duplicate-free initial set (as Finalize() leaves
+  /// it), keeping it so: the finalized automaton is then the same as if `s`
+  /// had been added before Finalize().
+  void InsertInitialSorted(StateId s);
+
   void SetAccepting(StateId s, bool accepting);
 
   uint32_t num_states() const {

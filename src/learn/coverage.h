@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "automata/nfa.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace rpqlearn {
@@ -57,13 +58,17 @@ class SubsetCoverage {
 
   /// Deterministic transition; caller must only query states at depth < k
   /// (checked). The empty state loops to itself.
-  StateId Next(StateId s, Symbol a) const;
+  StateId Next(StateId s, Symbol a) const {
+    RPQ_DCHECK(s < num_states());
+    RPQ_DCHECK(a < num_symbols_);
+    StateId t = table_[static_cast<size_t>(s) * num_symbols_ + a];
+    RPQ_CHECK(t != kNoState)
+        << "SubsetCoverage::Next queried beyond truncation depth k=" << k_;
+    return t;
+  }
 
   /// BFS depth at which the subset was first reached.
   uint32_t DepthOf(StateId s) const { return depth_[s]; }
-
-  /// Size of the subset represented by state `s`.
-  size_t SubsetSize(StateId s) const { return subsets_[s].size(); }
 
  private:
   SubsetCoverage() = default;
@@ -73,7 +78,6 @@ class SubsetCoverage {
   StateId initial_ = 0;
   std::vector<bool> covering_;
   std::vector<uint32_t> depth_;
-  std::vector<std::vector<StateId>> subsets_;
   /// Transition table; kNoState marks "not materialized" (depth == k rows).
   std::vector<StateId> table_;
 };

@@ -18,13 +18,13 @@ IncrementalLearner::IncrementalLearner(const Graph& graph,
     : graph_(graph),
       options_(options),
       graph_nfa_(GraphToNfa(graph, {})),
-      negative_nfa_(GraphToNfa(graph, {})) {}
+      negative_nfa_(graph_nfa_) {}
 
 void IncrementalLearner::AddPositive(NodeId v) { sample_.AddPositive(v); }
 
 void IncrementalLearner::AddNegative(NodeId v) {
   sample_.AddNegative(v);
-  negative_nfa_ = GraphToNfa(graph_, sample_.negative);
+  negative_nfa_.InsertInitialSorted(v);
   // Coverage automata are stale now; RefreshCoverage rebuilds lazily and
   // revalidates cached SCPs against the new coverage.
 }

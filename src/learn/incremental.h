@@ -34,6 +34,9 @@ class IncrementalLearner {
 
   const Sample& sample() const { return sample_; }
 
+  /// The graph NFA with initial set S− that coverage and consistency run on.
+  const Nfa& negative_nfa() const { return negative_nfa_; }
+
   /// Runs Algorithm 1 at exactly SCP bound `k`, reusing cached coverage and
   /// SCPs where valid.
   LearnOutcome LearnAtK(uint32_t k);
@@ -65,7 +68,9 @@ class IncrementalLearner {
   LearnerOptions options_;
   Sample sample_;
   Nfa graph_nfa_;     ///< whole graph, no initial states (shared by SCPs)
-  Nfa negative_nfa_;  ///< rebuilt when a negative arrives
+  /// The graph with initial set S−; each negative is inserted into its
+  /// initial set in place, so it always equals GraphToNfa(graph, S−).
+  Nfa negative_nfa_;
   std::map<uint32_t, KState> per_k_;
 };
 
