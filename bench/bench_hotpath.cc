@@ -177,13 +177,12 @@ struct ParallelEvalResult {
   uint32_t threads = 1;
   double binary_one_thread_seconds = 0;
   double binary_parallel_seconds = 0;
-  double monadic_one_thread_seconds = 0;
-  double monadic_parallel_seconds = 0;
 };
 
-/// Thread-pool evaluation versus the identical engine pinned to one thread,
-/// on the same workload as BenchEval. Outputs are checked bit-identical
-/// before timing, so the reported speedup is also a determinism witness.
+/// Thread-pool binary evaluation versus the identical engine pinned to one
+/// thread, on the same workload as BenchEval. Outputs are checked
+/// bit-identical before timing, so the reported speedup is also a
+/// determinism witness.
 ParallelEvalResult BenchParallelEval(uint32_t num_nodes, int trials) {
   ScaleFreeOptions graph_options;
   graph_options.num_nodes = num_nodes;
@@ -196,8 +195,6 @@ ParallelEvalResult BenchParallelEval(uint32_t num_nodes, int trials) {
   EvalOptions one_thread;
   one_thread.threads = 1;
   EvalOptions parallel = bench::EvalConfig();
-  // Let the thread count alone decide the path at this scale.
-  parallel.parallel_threshold_pairs = 0;
 
   ParallelEvalResult result;
   result.threads = parallel.threads;
@@ -221,26 +218,6 @@ ParallelEvalResult BenchParallelEval(uint32_t num_nodes, int trials) {
     RPQ_CHECK_EQ(pairs->size(), sequential_pairs->size());
   }
   result.binary_parallel_seconds = timer.ElapsedSeconds() / trials;
-
-  auto sequential_monadic = EvalMonadic(graph, query, one_thread);
-  RPQ_CHECK(sequential_monadic.ok()) << sequential_monadic.status().ToString();
-  auto parallel_monadic = EvalMonadic(graph, query, parallel);
-  RPQ_CHECK(parallel_monadic.ok()) << parallel_monadic.status().ToString();
-  RPQ_CHECK(*parallel_monadic == *sequential_monadic)
-      << "parallel EvalMonadic diverged from threads=1";
-  const int monadic_trials = trials * 5;
-  timer.Restart();
-  for (int t = 0; t < monadic_trials; ++t) {
-    auto r = EvalMonadic(graph, query, one_thread);
-    RPQ_CHECK_EQ(r->Count(), sequential_monadic->Count());
-  }
-  result.monadic_one_thread_seconds = timer.ElapsedSeconds() / monadic_trials;
-  timer.Restart();
-  for (int t = 0; t < monadic_trials; ++t) {
-    auto r = EvalMonadic(graph, query, parallel);
-    RPQ_CHECK_EQ(r->Count(), sequential_monadic->Count());
-  }
-  result.monadic_parallel_seconds = timer.ElapsedSeconds() / monadic_trials;
   return result;
 }
 
@@ -972,7 +949,6 @@ void CheckCondensedIdentityCube() {
         options.condense = condense;
         options.threads = threads;
         options.force_mode = mode;
-        options.parallel_threshold_pairs = 0;
         auto pairs = EvalBinary(graph, query, options);
         RPQ_CHECK(pairs.ok());
         RPQ_CHECK(*pairs == expected_pairs)
@@ -1168,16 +1144,11 @@ int main() {
   auto par = BenchParallelEval(eval_nodes, trials);
   const double par_binary_speedup =
       Speedup(par.binary_one_thread_seconds, par.binary_parallel_seconds);
-  const double par_monadic_speedup =
-      Speedup(par.monadic_one_thread_seconds, par.monadic_parallel_seconds);
   std::printf("parallel eval (%u threads, RPQ_EVAL_THREADS to override):\n",
               par.threads);
   std::printf("  binary   1-thread %8.3fs  %u-thread %8.3fs  speedup %.2fx\n",
               par.binary_one_thread_seconds, par.threads,
               par.binary_parallel_seconds, par_binary_speedup);
-  std::printf("  monadic  1-thread %8.4fs  %u-thread %8.4fs  speedup %.2fx\n",
-              par.monadic_one_thread_seconds, par.threads,
-              par.monadic_parallel_seconds, par_monadic_speedup);
 
   // --- direction-optimizing rounds -------------------------------------
   // The standard fixture (the paper's 3× edge density) plus a high-density
@@ -1268,10 +1239,7 @@ int main() {
                "    \"threads\": %u,\n"
                "    \"binary_one_thread_seconds\": %.6f,\n"
                "    \"binary_parallel_seconds\": %.6f,\n"
-               "    \"binary_speedup\": %.2f,\n"
-               "    \"monadic_one_thread_seconds\": %.6f,\n"
-               "    \"monadic_parallel_seconds\": %.6f,\n"
-               "    \"monadic_speedup\": %.2f\n"
+               "    \"binary_speedup\": %.2f\n"
                "  },\n"
                "  \"eval_direction\": {\n",
                paper ? "paper" : "small", merge.pta_states, merge.attempted,
@@ -1280,9 +1248,7 @@ int main() {
                eval.query_states, eval.ref_seconds, eval.csr_seconds,
                binary_speedup, monadic_ref, monadic_csr, monadic_speedup,
                par.threads, par.binary_one_thread_seconds,
-               par.binary_parallel_seconds, par_binary_speedup,
-               par.monadic_one_thread_seconds, par.monadic_parallel_seconds,
-               par_monadic_speedup);
+               par.binary_parallel_seconds, par_binary_speedup);
   PrintDirectionJson(out, "standard", dir_standard, /*last=*/false);
   PrintDirectionJson(out, "high_density", dir_high, /*last=*/true);
   std::fprintf(out, "  },\n");

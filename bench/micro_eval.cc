@@ -31,17 +31,6 @@ void BM_EvalMonadicBounded(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalMonadicBounded)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_SelectsNode(benchmark::State& state) {
-  Dataset dataset = BuildSyntheticDataset(5000);
-  const Dfa& query = dataset.queries[0].query;  // selective syn1
-  NodeId v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SelectsNode(dataset.graph, query, v));
-    v = (v + 1) % dataset.graph.num_nodes();
-  }
-}
-BENCHMARK(BM_SelectsNode);
-
 /// The facade's steady state: a repeat query against an unchanged graph is
 /// a plan-cache hit served from the retained monadic fixed point. Compare
 /// against BM_EvalMonadic to see what the warm path saves.
@@ -95,12 +84,19 @@ void BM_EnginePlanRunCold(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePlanRunCold)->Arg(1000)->Arg(5000);
 
+/// Single-source binary evaluation: one lane of the batched product BFS.
 void BM_EvalBinaryFrom(benchmark::State& state) {
   Dataset dataset = BuildSyntheticDataset(5000);
   const Dfa& query = dataset.queries[1].query;
   NodeId v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvalBinaryFrom(dataset.graph, query, v));
+    const NodeId sources[] = {v};
+    auto pairs = EvalBinaryFromSources(dataset.graph, query, sources);
+    if (!pairs.ok()) {
+      state.SkipWithError(pairs.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(*pairs);
     v = (v + 1) % dataset.graph.num_nodes();
   }
 }

@@ -1,6 +1,9 @@
 #include "learn/binary.h"
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "automata/minimize.h"
 #include "automata/prefix_free.h"
@@ -61,11 +64,27 @@ LearnOutcome LearnBinaryWithFixedK(const Graph& graph,
     }
   }
 
-  for (const auto& [from, to] : sample.positive) {
-    if (!SelectsPair(graph, hypothesis, from, to)) return outcome;
+  // The query must select every positive pair and no negative one: one
+  // batched binary evaluation over the sample's distinct sources, whose
+  // pairs come back sorted because the sources are.
+  std::vector<NodeId> sources;
+  for (const auto& [from, to] : sample.positive) sources.push_back(from);
+  for (const auto& [from, to] : sample.negative) sources.push_back(from);
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  StatusOr<std::vector<std::pair<NodeId, NodeId>>> selected =
+      EvalBinaryFromSources(graph, hypothesis, sources,
+                            EvalOptions{.exec = options.exec});
+  if (!selected.ok()) {
+    outcome.status = selected.status();
+    return outcome;
   }
-  for (const auto& [from, to] : sample.negative) {
-    if (SelectsPair(graph, hypothesis, from, to)) return outcome;
+  auto selects = [&](const std::pair<NodeId, NodeId>& pair) {
+    return std::binary_search(selected->begin(), selected->end(), pair);
+  };
+  if (!std::all_of(sample.positive.begin(), sample.positive.end(), selects) ||
+      std::any_of(sample.negative.begin(), sample.negative.end(), selects)) {
+    return outcome;
   }
 
   outcome.is_null = false;

@@ -4,11 +4,12 @@
 /// The unified evaluation facade: one object per served graph, one plan per
 /// query, one call per request.
 ///
-/// The engine layer under src/query/eval.h accreted entry points as it grew
-/// — EvalMonadic / EvalMonadicBounded / EvalBinary / EvalBinaryFromSources,
-/// each with StatusOr overloads, plus the loose EvalOptions / snapshot-cache
-/// / ExecContext threading every caller had to repeat. `Engine` collapses
-/// that surface behind two ideas:
+/// The engine layer under src/query/eval.h has one evaluator per semantics
+/// — EvalMonadic / EvalMonadicBounded (one sequential backward sweep) and
+/// EvalBinary / EvalBinaryFromSources (64-source batches, fanned out over
+/// EvalOptions.threads workers), each with a StatusOr overload — and every
+/// caller had to repeat the EvalOptions / snapshot-cache / ExecContext
+/// threading. `Engine` collapses that surface behind two ideas:
 ///
 ///   Engine engine(graph);                  // owns per-graph cached state
 ///   auto plan = engine.Plan(query);        // parse/canonicalize/freeze once
@@ -203,8 +204,9 @@ class QueryPlan {
 /// Engine configuration. The eval options are validated at construction
 /// (Plan/Run surface the Status of an invalid configuration).
 struct EngineOptions {
-  /// Base evaluation knobs for every run: threads, direction mode,
-  /// condensation policy, default ExecContext and stats sink.
+  /// Base evaluation knobs for every run: threads (binary runs only),
+  /// direction mode, condensation policy, default ExecContext and stats
+  /// sink.
   EvalOptions eval;
   /// Plans kept by the LRU cache; 0 disables caching (every Plan() call
   /// compiles afresh — for tests and cold-path benchmarks).

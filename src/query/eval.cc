@@ -33,29 +33,26 @@ using eval_internal::MonadicSweeper;
 using eval_internal::MonadicSweepScratchBytes;
 using eval_internal::ResolveDirectionPolicy;
 using eval_internal::RoundCounters;
-using eval_internal::SharedSymbolCount;
 
 namespace {
 
-/// Pool shared by every parallel evaluation call in the process. Sized once
-/// to the hardware; EvalOptions.threads caps how many of its workers one
-/// call may occupy (ThreadPool::ParallelFor never uses more executors than
-/// requested). Calls with threads == 1 never touch it.
+/// Pool shared by every parallel binary evaluation call in the process.
+/// Sized once to the hardware; EvalOptions.threads caps how many of its
+/// workers one call may occupy (ThreadPool::ParallelFor never uses more
+/// executors than requested). Calls with threads == 1 never touch it.
 ThreadPool& EvalPool() {
   static ThreadPool pool(DefaultEvalThreads());
   return pool;
 }
 
-/// Effective worker count for `num_items` independent work units over a
-/// product space of `num_pairs` (node, state) cells. Small problems and
-/// single-unit calls run sequentially: the result is identical either way,
-/// so this is purely a scheduling decision.
-uint32_t ResolveWorkers(const EvalOptions& validated, size_t num_pairs,
-                        size_t num_items) {
-  if (validated.threads <= 1 || num_items <= 1) return 1;
-  if (num_pairs < validated.parallel_threshold_pairs) return 1;
+/// Effective worker count for `num_batches` independent 64-source batches:
+/// the call fans out exactly when threads > 1 and there are at least two
+/// batches. The result is identical either way, so this is purely a
+/// scheduling decision.
+uint32_t ResolveWorkers(const EvalOptions& validated, size_t num_batches) {
+  if (validated.threads <= 1 || num_batches <= 1) return 1;
   return static_cast<uint32_t>(
-      std::min<size_t>(validated.threads, num_items));
+      std::min<size_t>(validated.threads, num_batches));
 }
 
 /// The typed Status an engine surfaces after an ExecContext trip: the
@@ -73,73 +70,25 @@ Status TripStatusWithProgress(const ExecContext& exec,
 
 // --------------------------------------------------------------- monadic
 
-/// Folds per-sweep counters into EvalOptions.stats (when present) and
-/// returns the summed totals — the progress a trip status reports.
-RoundCounters AccumulateMonadicRounds(
-    const EvalOptions& validated, std::span<const RoundCounters> per_sweep) {
-  RoundCounters totals;
-  for (const RoundCounters& rounds : per_sweep) totals += rounds;
-  if (validated.stats == nullptr) return totals;
-  validated.stats->monadic_sparse_rounds.fetch_add(totals.sparse,
+/// Folds the sweep's counters into EvalOptions.stats (when present).
+void AccumulateMonadicRounds(const EvalOptions& validated,
+                             const RoundCounters& rounds) {
+  if (validated.stats == nullptr) return;
+  validated.stats->monadic_sparse_rounds.fetch_add(rounds.sparse,
                                                    std::memory_order_relaxed);
-  validated.stats->monadic_dense_rounds.fetch_add(totals.dense,
+  validated.stats->monadic_dense_rounds.fetch_add(rounds.dense,
                                                   std::memory_order_relaxed);
-  validated.stats->condensed_expansions.fetch_add(totals.condensed_expansions,
+  validated.stats->condensed_expansions.fetch_add(rounds.condensed_expansions,
                                                   std::memory_order_relaxed);
-  validated.stats->components_collapsed.fetch_add(totals.components_collapsed,
+  validated.stats->components_collapsed.fetch_add(rounds.components_collapsed,
                                                   std::memory_order_relaxed);
-  validated.stats->pairs_settled.fetch_add(totals.pairs,
+  validated.stats->pairs_settled.fetch_add(rounds.pairs,
                                            std::memory_order_relaxed);
-  return totals;
 }
 
-/// One backward product sweep over the whole graph, seeded by the accepting
-/// pairs whose *node* lies in [node_lo, node_hi); returns the selected-node
-/// column. Backward reachability (and, level-by-level, bounded backward
-/// reachability) distributes over seed unions, so the union of the
-/// per-range sweeps equals the full sweep — that is the parallel
-/// decomposition.
-BitVector MonadicSweepRange(const Graph& graph, const BinaryTables& tables,
-                            const CondensePlan& plan,
-                            const DirectionPolicy& policy, bool bounded,
-                            uint32_t max_length, NodeId node_lo,
-                            NodeId node_hi, ExecContext* exec,
-                            RoundCounters* rounds) {
-  const uint32_t nq = tables.nq;
-  const uint32_t nv = graph.num_nodes();
-  BitVector result(nv);
-  // Charge the sweep's product-space scratch before allocating it; an
-  // overflow latches kResourceExhausted and the empty partial is discarded
-  // by the caller's tripped() exit.
-  ScopedExecCharge charge(
-      exec, MonadicSweepScratchBytes(static_cast<size_t>(nv) * nq, plan));
-  if (!charge.ok()) return result;
-  MonadicSweeper sweeper(graph, tables, plan, policy, exec);
-  auto no_hook = [](NodeId, StateId) {};
-  for (StateId q : tables.accepting_states) {
-    for (NodeId v = node_lo; v < node_hi; ++v) sweeper.Visit(v, q, no_hook);
-  }
-  sweeper.RunCondenseClosure(no_hook, rounds);
-  uint32_t steps = 0;
-  while (sweeper.frontier_pairs() > 0 && (!bounded || steps < max_length)) {
-    if (exec != nullptr && !exec->Checkpoint()) break;
-    sweeper.RunRound(no_hook, rounds);
-    sweeper.RunCondenseClosure(no_hook, rounds);
-    ++steps;
-  }
-  if (exec != nullptr && exec->tripped()) return result;
-
-  const StateId q0 = tables.q0;
-  for (NodeId v = 0; v < nv; ++v) {
-    if (sweeper.reached().Test(static_cast<size_t>(v) * nq + q0)) {
-      result.Set(v);
-    }
-  }
-  return result;
-}
-
-/// Runs per-node-range monadic sweeps (bounded iff max_length != none) on
-/// `workers` contexts and unions the per-range selected sets.
+/// One backward product sweep seeded by every accepting pair (bounded iff
+/// `bounded`: at most max_length level-synchronous rounds, so the bound is
+/// exact); returns the selected-node column.
 StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
                                     bool bounded, uint32_t max_length,
                                     const EvalOptions& validated) {
@@ -156,50 +105,39 @@ StatusOr<BitVector> EvalMonadicImpl(const Graph& graph, const Dfa& query,
   const size_t num_pairs = static_cast<size_t>(nv) * nq;
   const DirectionPolicy policy = ResolveDirectionPolicy(validated, num_pairs);
 
-  uint32_t workers = ResolveWorkers(validated, num_pairs, nv);
-  if (workers > 1) {
-    // Unlike binary batches, node-range sweeps can re-traverse each other's
-    // backward cones, so chunks beyond the executors actually available
-    // (pool + caller) would multiply duplicated work without adding
-    // concurrency. The cap is scheduling-only: the union is the same.
-    workers = std::min(workers, EvalPool().num_threads() + 1);
-  }
-  if (workers == 1) {
-    RoundCounters rounds;
-    BitVector result =
-        MonadicSweepRange(graph, tables, plan, policy, bounded, max_length, 0,
-                          nv, exec, &rounds);
-    const RoundCounters totals =
-        AccumulateMonadicRounds(validated, {&rounds, 1});
-    if (exec != nullptr && exec->tripped()) {
-      return TripStatusWithProgress(*exec, totals);
+  RoundCounters rounds;
+  BitVector result(nv);
+  {
+    // Charge the sweep's product-space scratch before allocating it; an
+    // overflow latches kResourceExhausted and the tripped() exit below
+    // reports it.
+    ScopedExecCharge charge(exec, MonadicSweepScratchBytes(num_pairs, plan));
+    if (charge.ok()) {
+      MonadicSweeper sweeper(graph, tables, plan, policy, exec);
+      auto no_hook = [](NodeId, StateId) {};
+      for (StateId q : tables.accepting_states) {
+        for (NodeId v = 0; v < nv; ++v) sweeper.Visit(v, q, no_hook);
+      }
+      sweeper.RunCondenseClosure(no_hook, &rounds);
+      uint32_t steps = 0;
+      while (sweeper.frontier_pairs() > 0 &&
+             (!bounded || steps < max_length)) {
+        if (exec != nullptr && !exec->Checkpoint()) break;
+        sweeper.RunRound(no_hook, &rounds);
+        sweeper.RunCondenseClosure(no_hook, &rounds);
+        ++steps;
+      }
+      const StateId q0 = tables.q0;
+      for (NodeId v = 0; v < nv; ++v) {
+        if (sweeper.reached().Test(static_cast<size_t>(v) * nq + q0)) {
+          result.Set(v);
+        }
+      }
     }
-    return result;
   }
-
-  // Contiguous balanced node ranges; each sweep owns its slot, the union is
-  // commutative, so the result is independent of scheduling.
-  std::vector<BitVector> partial(workers);
-  std::vector<RoundCounters> per_sweep(workers);
-  EvalPool().ParallelFor(
-      workers, workers,
-      [&](uint32_t /*worker*/, size_t chunk) {
-        const NodeId lo =
-            static_cast<NodeId>(static_cast<size_t>(nv) * chunk / workers);
-        const NodeId hi = static_cast<NodeId>(static_cast<size_t>(nv) *
-                                              (chunk + 1) / workers);
-        partial[chunk] = MonadicSweepRange(graph, tables, plan, policy,
-                                           bounded, max_length, lo, hi, exec,
-                                           &per_sweep[chunk]);
-      },
-      exec);
-  const RoundCounters totals = AccumulateMonadicRounds(validated, per_sweep);
+  AccumulateMonadicRounds(validated, rounds);
   if (exec != nullptr && exec->tripped()) {
-    return TripStatusWithProgress(*exec, totals);
-  }
-  BitVector result = std::move(partial[0]);
-  for (uint32_t chunk = 1; chunk < workers; ++chunk) {
-    result.OrWith(partial[chunk]);
+    return TripStatusWithProgress(*exec, rounds);
   }
   return result;
 }
@@ -313,7 +251,7 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryImpl(
   };
 
   std::vector<RoundCounters> per_batch_rounds(num_batches);
-  const uint32_t workers = ResolveWorkers(validated, num_pairs, num_batches);
+  const uint32_t workers = ResolveWorkers(validated, num_batches);
   if (workers == 1) {
     ScopedExecCharge charge(exec, BinaryScratchBytes(num_pairs, plan));
     if (charge.ok()) {
@@ -454,73 +392,6 @@ StatusOr<BitVector> EvalMonadicBounded(const Graph& graph, const Dfa& query,
                          *validated);
 }
 
-bool SelectsNode(const Graph& graph, const Dfa& query, NodeId node) {
-  const uint32_t nq = query.num_states();
-  const FrozenDfa frozen(query);
-  const Symbol num_shared = SharedSymbolCount(graph, frozen);
-  BitVector visited(static_cast<size_t>(graph.num_nodes()) * nq);
-  std::vector<std::pair<NodeId, StateId>> worklist;
-  const StateId q0 = frozen.initial_state();
-  if (frozen.IsAccepting(q0)) return true;
-  visited.Set(static_cast<size_t>(node) * nq + q0);
-  worklist.emplace_back(node, q0);
-  while (!worklist.empty()) {
-    auto [v, q] = worklist.back();
-    worklist.pop_back();
-    for (Symbol a = 0; a < num_shared; ++a) {
-      StateId t = frozen.Next(q, a);
-      if (t == kNoState) continue;
-      const bool accepting = frozen.IsAccepting(t);
-      for (NodeId u : graph.OutNeighbors(v, a)) {
-        if (accepting) return true;
-        size_t idx = static_cast<size_t>(u) * nq + t;
-        if (!visited.Test(idx)) {
-          visited.Set(idx);
-          worklist.emplace_back(u, t);
-        }
-      }
-    }
-  }
-  return false;
-}
-
-BitVector EvalBinaryFrom(const Graph& graph, const Dfa& query, NodeId src) {
-  const uint32_t nq = query.num_states();
-  const uint32_t nv = graph.num_nodes();
-  const FrozenDfa frozen(query);
-  const Symbol num_shared = SharedSymbolCount(graph, frozen);
-  BitVector visited(static_cast<size_t>(nv) * nq);
-  std::vector<std::pair<NodeId, StateId>> worklist;
-  const StateId q0 = frozen.initial_state();
-  visited.Set(static_cast<size_t>(src) * nq + q0);
-  worklist.emplace_back(src, q0);
-  BitVector result(nv);
-  if (frozen.IsAccepting(q0)) result.Set(src);
-  while (!worklist.empty()) {
-    auto [v, q] = worklist.back();
-    worklist.pop_back();
-    for (Symbol a = 0; a < num_shared; ++a) {
-      StateId t = frozen.Next(q, a);
-      if (t == kNoState) continue;
-      const bool accepting = frozen.IsAccepting(t);
-      for (NodeId u : graph.OutNeighbors(v, a)) {
-        size_t idx = static_cast<size_t>(u) * nq + t;
-        if (!visited.Test(idx)) {
-          visited.Set(idx);
-          if (accepting) result.Set(u);
-          worklist.emplace_back(u, t);
-        }
-      }
-    }
-  }
-  return result;
-}
-
-bool SelectsPair(const Graph& graph, const Dfa& query, NodeId src,
-                 NodeId dst) {
-  return EvalBinaryFrom(graph, query, src).Test(dst);
-}
-
 std::vector<std::pair<NodeId, NodeId>> EvalBinary(const Graph& graph,
                                                   const Dfa& query) {
   const std::vector<NodeId> sources = AllSources(graph.num_nodes());
@@ -553,15 +424,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryFromSources(
     }
   }
   return EvalBinaryImpl(graph, query, sources, *validated);
-}
-
-bool SelectsTuple(const Graph& graph, const std::vector<Dfa>& queries,
-                  const std::vector<NodeId>& tuple) {
-  RPQ_CHECK_EQ(tuple.size(), queries.size() + 1);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!SelectsPair(graph, queries[i], tuple[i], tuple[i + 1])) return false;
-  }
-  return true;
 }
 
 }  // namespace rpqlearn

@@ -105,19 +105,14 @@ struct EvalStats {
 /// validates through ValidateEvalOptions and surfaces its Status — an
 /// invalid configuration is an error, never a silent fallback.
 struct EvalOptions {
-  /// Worker contexts the evaluation may use. 1 runs the exact
-  /// single-threaded path; 0 is InvalidArgument. The parallel results are
-  /// bit-identical to threads = 1 for every value: work is partitioned into
-  /// deterministic units (64-source batches, node ranges) whose outputs are
-  /// combined in a scheduling-independent order.
+  /// Worker contexts a binary evaluation (EvalBinary,
+  /// EvalBinaryFromSources) may use for its independent 64-source lane
+  /// batches: it fans out exactly when threads > 1 and the sources span at
+  /// least two batches, and concatenates the per-batch pairs in batch
+  /// order, so results are bit-identical to threads = 1 for every value.
+  /// Monadic evaluation is one sequential backward sweep and ignores it.
+  /// 0 is InvalidArgument.
   uint32_t threads = DefaultEvalThreads();
-  /// Product spaces smaller than this many (node, state) pairs run
-  /// sequentially even when threads > 1 — spreading tiny problems over a
-  /// pool costs more than it saves. The default admits the paper-scale
-  /// graphs (10k nodes × small query DFAs) while keeping the learner's
-  /// inner-loop evaluations on toy graphs sequential. Tests set 0 to force
-  /// the parallel path.
-  size_t parallel_threshold_pairs = size_t{1} << 12;
   /// Direction-optimizing crossover for the batched product BFS: a round
   /// whose frontier holds at least `dense_threshold` × (nodes × states)
   /// product pairs runs bottom-up (dense bitmap pull); below it, top-down
@@ -183,10 +178,8 @@ StatusOr<EvalOptions> ValidateEvalOptions(EvalOptions options);
 /// O(|E|·|Q|) time, O(|V|·|Q|) space. The query DFA may be partial.
 BitVector EvalMonadic(const Graph& graph, const Dfa& query);
 
-/// EvalMonadic with explicit options: with threads > 1 the accepting seed
-/// pairs are partitioned by node range and each worker runs an independent
-/// backward sweep; the result is the union of the per-range sweeps, which
-/// equals the single sweep exactly.
+/// EvalMonadic with explicit options (direction, condensation, stats and
+/// execution control; the sweep is sequential for every `threads`).
 StatusOr<BitVector> EvalMonadic(const Graph& graph, const Dfa& query,
                                 const EvalOptions& options);
 
@@ -195,23 +188,15 @@ StatusOr<BitVector> EvalMonadic(const Graph& graph, const Dfa& query,
 BitVector EvalMonadicBounded(const Graph& graph, const Dfa& query,
                              uint32_t max_length);
 
-/// EvalMonadicBounded with explicit options (same node-range partitioning
-/// as EvalMonadic; level-synchronous, so the bound is exact per sweep).
+/// EvalMonadicBounded with explicit options (level-synchronous, so the
+/// bound is exact).
 StatusOr<BitVector> EvalMonadicBounded(const Graph& graph, const Dfa& query,
                                        uint32_t max_length,
                                        const EvalOptions& options);
 
-/// True iff ν ∈ q(G); forward product search from (node, q0).
-bool SelectsNode(const Graph& graph, const Dfa& query, NodeId node);
-
-/// Binary semantics (Appendix B): all ν' with a path from `src` to ν'
-/// spelling a word of L(q); forward product reachability from (src, q0).
-BitVector EvalBinaryFrom(const Graph& graph, const Dfa& query, NodeId src);
-
-/// True iff (src, dst) is selected under binary semantics.
-bool SelectsPair(const Graph& graph, const Dfa& query, NodeId src, NodeId dst);
-
-/// Full binary result as (src, dst) pairs, (src asc, dst asc).
+/// Binary semantics (Appendix B): every (src, dst) with a path from src to
+/// dst spelling a word of L(q), as pairs (src asc, dst asc); batched forward
+/// product reachability from (src, q0).
 std::vector<std::pair<NodeId, NodeId>> EvalBinary(const Graph& graph,
                                                   const Dfa& query);
 
@@ -230,12 +215,6 @@ StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinary(
 StatusOr<std::vector<std::pair<NodeId, NodeId>>> EvalBinaryFromSources(
     const Graph& graph, const Dfa& query, std::span<const NodeId> sources,
     const EvalOptions& options = {});
-
-/// N-ary semantics (Appendix B): a tuple (ν1..νn) is selected by
-/// Q = (q1..q(n-1)) iff every consecutive pair (νi, νi+1) is selected by qi
-/// under binary semantics. `tuple.size()` must equal `queries.size() + 1`.
-bool SelectsTuple(const Graph& graph, const std::vector<Dfa>& queries,
-                  const std::vector<NodeId>& tuple);
 
 }  // namespace rpqlearn
 

@@ -96,8 +96,7 @@ class TaskFuture {
 /// workers — deliberately work-stealing-free, so scheduling is easy to reason
 /// about and the pool stays small enough to audit under TSan. Used by the
 /// parallel evaluation layer (src/query/eval.cc), whose tasks are coarse
-/// (one 64-source batch or one node-range sweep each), so queue contention is
-/// negligible.
+/// (one 64-source batch each), so queue contention is negligible.
 ///
 /// Destruction drains the queue: tasks already submitted still run to
 /// completion before the workers join, so a future obtained from `Submit` is

@@ -1,13 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "automata/equivalence.h"
 #include "graph/fixtures.h"
 #include "learn/binary.h"
 #include "learn/nary.h"
 #include "query/eval.h"
+#include "util/exec_context.h"
 
 namespace rpqlearn {
 namespace {
+
+/// True iff `query` selects (src, dst) under binary semantics.
+bool Selects(const Graph& graph, const Dfa& query, NodeId src, NodeId dst) {
+  const NodeId sources[] = {src};
+  auto pairs = EvalBinaryFromSources(graph, query, sources);
+  EXPECT_TRUE(pairs.ok()) << pairs.status().ToString();
+  return pairs.ok() && std::binary_search(pairs->begin(), pairs->end(),
+                                          std::make_pair(src, dst));
+}
+
+/// N-ary semantics (Appendix B): the tuple is selected iff every hop
+/// (tuple[i], tuple[i+1]) is selected by queries[i].
+bool SelectsEveryHop(const Graph& graph, const std::vector<Dfa>& queries,
+                     const std::vector<NodeId>& tuple) {
+  EXPECT_EQ(tuple.size(), queries.size() + 1);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!Selects(graph, queries[i], tuple[i], tuple[i + 1])) return false;
+  }
+  return true;
+}
 
 TEST(BinaryLearnerTest, LearnsOnFig3Pairs) {
   // Label pairs consistently with (a·b)*·c under binary semantics:
@@ -21,10 +46,10 @@ TEST(BinaryLearnerTest, LearnsOnFig3Pairs) {
   LearnOutcome outcome = LearnBinaryPathQuery(g, sample, options);
   ASSERT_FALSE(outcome.is_null);
   for (const auto& [s, t] : sample.positive) {
-    EXPECT_TRUE(SelectsPair(g, outcome.query, s, t));
+    EXPECT_TRUE(Selects(g, outcome.query, s, t));
   }
   for (const auto& [s, t] : sample.negative) {
-    EXPECT_FALSE(SelectsPair(g, outcome.query, s, t));
+    EXPECT_FALSE(Selects(g, outcome.query, s, t));
   }
 }
 
@@ -39,8 +64,8 @@ TEST(BinaryLearnerTest, DestinationConstrainsScp) {
   sample.negative = {{0, 0}};
   LearnOutcome outcome = LearnBinaryPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
-  EXPECT_TRUE(SelectsPair(g, outcome.query, 0, 3));
-  EXPECT_FALSE(SelectsPair(g, outcome.query, 0, 0));
+  EXPECT_TRUE(Selects(g, outcome.query, 0, 3));
+  EXPECT_FALSE(Selects(g, outcome.query, 0, 0));
   EXPECT_FALSE(outcome.query.Accepts({}));
 }
 
@@ -64,8 +89,26 @@ TEST(BinaryLearnerTest, GeoCommuteExample) {
   sample.negative = {{n2, r2}};
   LearnOutcome outcome = LearnBinaryPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
-  EXPECT_TRUE(SelectsPair(g, outcome.query, n2, c1));
-  EXPECT_FALSE(SelectsPair(g, outcome.query, n2, r2));
+  EXPECT_TRUE(Selects(g, outcome.query, n2, c1));
+  EXPECT_FALSE(Selects(g, outcome.query, n2, r2));
+}
+
+TEST(BinaryLearnerTest, CancelledContextAbstainsWithStatus) {
+  // The final consistency check runs under LearnerOptions.exec, so a
+  // cancelled context surfaces as the learner's typed status even when
+  // no generalization step polls it first.
+  Graph g = Figure3G0();
+  PairSample sample;
+  sample.positive = {{0, 3}, {2, 3}};
+  sample.negative = {{1, 2}, {0, 1}};
+  ExecContext exec;
+  exec.Cancel();
+  LearnerOptions options;
+  options.generalize = false;
+  options.exec = &exec;
+  LearnOutcome outcome = LearnBinaryPathQuery(g, sample, options);
+  EXPECT_TRUE(outcome.is_null);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kCancelled);
 }
 
 TEST(NaryLearnerTest, LearnsTripleOnGeo) {
@@ -83,8 +126,8 @@ TEST(NaryLearnerTest, LearnsTripleOnGeo) {
   NaryOutcome outcome = LearnNaryPathQuery(g, sample, {});
   ASSERT_FALSE(outcome.is_null);
   ASSERT_EQ(outcome.queries.size(), 2u);
-  EXPECT_TRUE(SelectsTuple(g, outcome.queries, {n2, n4, c1}));
-  EXPECT_TRUE(SelectsTuple(g, outcome.queries, {n1, n4, c1}));
+  EXPECT_TRUE(SelectsEveryHop(g, outcome.queries, {n2, n4, c1}));
+  EXPECT_TRUE(SelectsEveryHop(g, outcome.queries, {n1, n4, c1}));
 }
 
 TEST(NaryLearnerTest, AbstainPropagates) {

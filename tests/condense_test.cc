@@ -284,7 +284,6 @@ TEST(EvalCondenseTest, StarQueriesMatchReferenceAcrossTheKnobCube) {
             options.threads = threads;
             options.force_mode = mode;
             options.dense_threshold = 0.05;
-            options.parallel_threshold_pairs = 0;
             const auto config = [&] {
               return std::string(pattern) + " condense=" +
                      std::to_string(static_cast<int>(condense)) +

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "automata/dfa_csr.h"
@@ -124,8 +125,14 @@ TEST(EvalCsrOracleTest, EvaluationMatchesReferenceOn120RandomPairs) {
         << "binary mismatch, iteration " << iteration;
 
     const NodeId src = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
-    EXPECT_TRUE(EvalBinaryFrom(g, q, src) ==
-                EvalBinaryFromReference(g, q, src))
+    const NodeId sources[] = {src};
+    auto from_src = EvalBinaryFromSources(g, q, sources);
+    ASSERT_TRUE(from_src.ok()) << from_src.status().ToString();
+    std::vector<std::pair<NodeId, NodeId>> expected;
+    for (uint32_t dst : EvalBinaryFromReference(g, q, src).ToIndices()) {
+      expected.emplace_back(src, dst);
+    }
+    EXPECT_EQ(*from_src, expected)
         << "binary-from mismatch, iteration " << iteration;
   }
 }

@@ -321,7 +321,6 @@ const EngineConfig kEngineConfigs[] = {
 EvalOptions ToOptions(const EngineConfig& config, CondenseMode case_condense) {
   EvalOptions options;
   options.threads = config.threads;
-  options.parallel_threshold_pairs = 0;  // force the parallel path
   options.force_mode = config.mode;
   options.dense_threshold = config.dense_threshold;
   options.condense = case_condense;
@@ -818,7 +817,6 @@ EvalOptions UpdateRowOptions(const UpdateRow& row,
                              CondenseMode case_condense) {
   EvalOptions options;
   options.threads = row.threads;
-  options.parallel_threshold_pairs = 0;
   options.dense_threshold = 0.02;  // engage hybrid crossovers
   options.condense = case_condense;
   return options;

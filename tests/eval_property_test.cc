@@ -103,9 +103,11 @@ TEST_P(EvalPropertyTest, BinaryDiagonalConsistency) {
 
   BitVector monadic = EvalMonadic(graph, query);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    BitVector from_v = EvalBinaryFrom(graph, query, v);
+    const NodeId sources[] = {v};
+    auto from_v = EvalBinaryFromSources(graph, query, sources);
+    ASSERT_TRUE(from_v.ok()) << from_v.status().ToString();
     // Monadic selection of v ⟺ some binary target from v exists.
-    EXPECT_EQ(monadic.Test(v), from_v.Any()) << "node " << v;
+    EXPECT_EQ(monadic.Test(v), !from_v->empty()) << "node " << v;
   }
 }
 

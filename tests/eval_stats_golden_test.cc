@@ -85,7 +85,6 @@ StatsSnapshot RunPoint(const Graph& g, const Dfa& q, Engine engine,
   EvalStats stats;
   EvalOptions options;
   options.threads = threads;
-  options.parallel_threshold_pairs = 0;
   options.dense_threshold = 0.02;
   options.condense = condense;
   options.stats = &stats;
@@ -137,19 +136,12 @@ TEST(EvalStatsGoldenTest, CountersMatchGoldenAndAreThreadInvariant) {
                              << Format(again) << "\n  expected "
                              << Format(at_one);
 
-    // Thread count is pure scheduling for the binary engine (the 64-source
-    // batches are fixed). The monadic engine instead decomposes into one
-    // node-range sweep per worker, so its round counters legitimately
-    // depend on the worker count — results stay bit-identical, which the
-    // oracle suite pins — and that cube edge gets determinism coverage
-    // above but no invariance assertion.
-    if (row.engine == Engine::kBinary) {
-      const StatsSnapshot at_eight =
-          RunPoint(g, q, row.engine, 8, row.condense);
-      EXPECT_EQ(at_eight, at_one)
-          << row.name << " (threads=8)\n  got      " << Format(at_eight)
-          << "\n  expected " << Format(at_one);
-    }
+    // Thread count is pure scheduling: the binary engine's 64-source
+    // batches are fixed, and the monadic engine is one sequential sweep.
+    const StatsSnapshot at_eight = RunPoint(g, q, row.engine, 8, row.condense);
+    EXPECT_EQ(at_eight, at_one)
+        << row.name << " (threads=8)\n  got      " << Format(at_eight)
+        << "\n  expected " << Format(at_one);
   }
 }
 
@@ -162,7 +154,6 @@ TEST(EvalStatsGoldenTest, ForcedModesShiftRoundKindsOnly) {
   EvalStats stats;
   EvalOptions options;
   options.threads = 1;
-  options.parallel_threshold_pairs = 0;
   options.condense = CondenseMode::kOff;
   options.stats = &stats;
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "automata/ops.h"
 #include "graph/fixtures.h"
 #include "graph/graph_nfa.h"
@@ -64,18 +68,6 @@ TEST(EvalTest, EmptyLanguageSelectsNothing) {
   EXPECT_TRUE(EvalMonadic(g, empty).None());
 }
 
-TEST(EvalTest, SelectsNodeAgreesWithEvalMonadic) {
-  Graph g = Figure3G0();
-  for (const char* regex : {"a", "(a.b)*.c", "b.a", "c", "a.a.a"}) {
-    Dfa q = QueryOn(g, regex);
-    BitVector bulk = EvalMonadic(g, q);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(SelectsNode(g, q, v), bulk.Test(v))
-          << regex << " node " << v;
-    }
-  }
-}
-
 TEST(EvalTest, AgreesWithGenericAutomataPath) {
   // Cross-check the dense product engine against the generic
   // intersection-emptiness formulation: ν ∈ q(G) iff
@@ -114,13 +106,9 @@ TEST(EvalBoundedTest, RespectsLengthBound) {
 TEST(EvalBinaryTest, PairsOnFigure3) {
   Graph g = Figure3G0();
   Dfa q = QueryOn(g, "(a.b)*.c");
-  // (ν1, ν4) via abc; (ν3, ν4) via c.
-  EXPECT_TRUE(SelectsPair(g, q, 0, 3));
-  EXPECT_TRUE(SelectsPair(g, q, 2, 3));
-  EXPECT_FALSE(SelectsPair(g, q, 0, 2));
-  EXPECT_FALSE(SelectsPair(g, q, 3, 3));  // ε ∉ L
-  auto pairs = EvalBinary(g, q);
-  EXPECT_EQ(pairs.size(), 2u);
+  // (ν1, ν4) via abc; (ν3, ν4) via c; no (ν4, ν4) since ε ∉ L.
+  const std::vector<std::pair<NodeId, NodeId>> expected{{0, 3}, {2, 3}};
+  EXPECT_EQ(EvalBinary(g, q), expected);
 }
 
 TEST(EvalBinaryTest, EpsilonSelectsDiagonal) {
@@ -134,21 +122,17 @@ TEST(EvalBinaryTest, EpsilonSelectsDiagonal) {
 TEST(EvalBinaryTest, FromNodeReachability) {
   Graph g = Figure1Geographic();
   Dfa q = QueryOn(g, "(tram+bus)*.cinema");
-  BitVector from_n2 = EvalBinaryFrom(g, q, g.FindNodeByName("N2"));
-  EXPECT_TRUE(from_n2.Test(g.FindNodeByName("C1")));
-  EXPECT_FALSE(from_n2.Test(g.FindNodeByName("C2")));
-}
-
-TEST(EvalNaryTest, TripleViaTwoQueries) {
-  Graph g = Figure1Geographic();
-  std::vector<Dfa> queries;
-  queries.push_back(QueryOn(g, "(tram+bus)*"));
-  queries.push_back(QueryOn(g, "cinema"));
-  NodeId n2 = g.FindNodeByName("N2");
-  NodeId n4 = g.FindNodeByName("N4");
-  NodeId c1 = g.FindNodeByName("C1");
-  EXPECT_TRUE(SelectsTuple(g, queries, {n2, n4, c1}));
-  EXPECT_FALSE(SelectsTuple(g, queries, {n2, c1, c1}));
+  const NodeId n2 = g.FindNodeByName("N2");
+  const NodeId sources[] = {n2};
+  auto from_n2 = EvalBinaryFromSources(g, q, sources);
+  ASSERT_TRUE(from_n2.ok()) << from_n2.status().ToString();
+  auto selects = [&](const char* name) {
+    return std::find(from_n2->begin(), from_n2->end(),
+                     std::make_pair(n2, g.FindNodeByName(name))) !=
+           from_n2->end();
+  };
+  EXPECT_TRUE(selects("C1"));
+  EXPECT_FALSE(selects("C2"));
 }
 
 }  // namespace

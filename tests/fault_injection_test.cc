@@ -74,7 +74,6 @@ EvalOptions MakeOptions(const EngineConfig& config, ExecContext* exec,
   EvalOptions options;
   options.threads = config.threads;
   options.condense = config.condense;
-  options.parallel_threshold_pairs = 0;  // force the parallel path
   options.exec = exec;
   options.stats = stats;
   return options;

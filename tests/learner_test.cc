@@ -162,7 +162,7 @@ TEST(LearnerTest, Figure10LearnsB) {
   ASSERT_FALSE(outcome.is_null);
   EXPECT_TRUE(AreEquivalent(outcome.query, QueryOn(g, "b")));
   // The certain node (id 2) is selected by the learned query.
-  EXPECT_TRUE(SelectsNode(g, outcome.query, 2));
+  EXPECT_TRUE(EvalMonadic(g, outcome.query).Test(2));
 }
 
 TEST(LearnerTest, GeoExampleFromIntroduction) {
